@@ -444,6 +444,8 @@ declare_metrics! {
         "Wall time of Open/Resume handling, including the original verification or cache lookup.";
     histogram verdict_latency_seconds => "covern_verdict_latency_seconds":
         "Wall time applying one delta to a verdict (server side, excluding inbox queueing).";
+    histogram inbox_wait_seconds => "covern_inbox_wait_seconds":
+        "Wall time a delta waited in its session inbox, from enqueue until its drain task popped it.";
 }
 
 static GLOBAL: OnceLock<Metrics> = OnceLock::new();

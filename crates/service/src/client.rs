@@ -16,8 +16,8 @@
 
 use crate::error::ServiceError;
 use crate::protocol::{
-    decode, encode, CheckpointState, Command, DeltaParams, OpenParams, Reply, Request, Response,
-    ServerInfo, SessionOpened, SessionRef, SessionSummary, StatsSnapshot, VerdictEvent,
+    decode, encode_line, CheckpointState, Command, DeltaParams, OpenParams, Reply, Request,
+    Response, ServerInfo, SessionOpened, SessionRef, SessionSummary, StatsSnapshot, VerdictEvent,
 };
 use covern_campaign::{DeltaEvent, Scenario};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -41,6 +41,7 @@ impl Client {
     /// Returns [`ServiceError::Io`] if the connection fails.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
         Ok(Self::over(Box::new(stream), Box::new(write_half)))
     }
@@ -61,8 +62,8 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         let line =
-            encode(&Request::new(id, cmd)).map_err(|e| ServiceError::Encode(e.to_string()))?;
-        writeln!(self.writer, "{line}")?;
+            encode_line(&Request::new(id, cmd)).map_err(|e| ServiceError::Encode(e.to_string()))?;
+        self.writer.write_all(&line)?;
         self.writer.flush()?;
         Ok(id)
     }
@@ -335,4 +336,63 @@ pub fn replay_corpus(
         total.unknown += one.unknown;
     }
     Ok(total)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dispatch::{Respond, WriterResponder};
+    use crate::protocol::encode;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    /// A writer that counts `write` calls and keeps the bytes written.
+    #[derive(Clone, Default)]
+    struct CountingWriter {
+        writes: Arc<AtomicUsize>,
+        bytes: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            self.bytes.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The newline-terminated lines of `messages`, as the old
+    /// `writeln!` framing put them on the wire.
+    fn lines<T: serde::Serialize>(messages: &[T]) -> Vec<u8> {
+        messages.iter().flat_map(|m| format!("{}\n", encode(m).unwrap()).into_bytes()).collect()
+    }
+
+    #[test]
+    fn client_send_issues_one_write_per_line() {
+        let out = CountingWriter::default();
+        let mut client = Client::over(Box::new(std::io::empty()), Box::new(out.clone()));
+        for n in 1..=3 {
+            assert_eq!(client.send(Command::Hello).unwrap(), n as u64);
+            assert_eq!(out.writes.load(Ordering::SeqCst), n, "one write per request line");
+        }
+        let sent: Vec<Request> = (1..=3).map(|id| Request::new(id, Command::Hello)).collect();
+        assert_eq!(*out.bytes.lock().unwrap(), lines(&sent), "wire bytes unchanged");
+    }
+
+    #[test]
+    fn writer_responder_send_issues_one_write_per_line() {
+        let out = CountingWriter::default();
+        let responder = WriterResponder::new(Box::new(out.clone()));
+        let replies: Vec<Response> =
+            (1..=3).map(|id| Response::new(id, Reply::ShuttingDown)).collect();
+        for (n, reply) in replies.iter().enumerate() {
+            responder.send(reply);
+            assert_eq!(out.writes.load(Ordering::SeqCst), n + 1, "one write per reply line");
+        }
+        assert_eq!(*out.bytes.lock().unwrap(), lines(&replies), "wire bytes unchanged");
+    }
 }

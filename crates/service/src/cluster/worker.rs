@@ -17,7 +17,7 @@
 //! engine).
 
 use crate::protocol::{
-    decode, encode, Command, DeltaParams, ErrorInfo, OpenParams, Reply, Request, ResumeParams,
+    decode, encode_line, Command, DeltaParams, ErrorInfo, OpenParams, Reply, Request, ResumeParams,
     SessionOpened, SessionRef, StatsSnapshot,
 };
 use covern_campaign::report::EventRecord;
@@ -316,6 +316,7 @@ impl WireClient {
         let stream = TcpStream::connect_timeout(&sockaddr, deadline)
             .map_err(|e| WireFault::Connect(e.to_string()))?;
         stream.set_read_timeout(Some(deadline)).map_err(|e| WireFault::Connect(e.to_string()))?;
+        stream.set_nodelay(true).map_err(|e| WireFault::Connect(e.to_string()))?;
         let writer = stream.try_clone().map_err(|e| WireFault::Connect(e.to_string()))?;
         Ok(Self { reader: BufReader::new(stream), writer, next_id: 0 })
     }
@@ -332,8 +333,8 @@ impl WireClient {
         self.next_id += 1;
         let id = self.next_id;
         let line =
-            encode(&Request::new(id, cmd)).map_err(|e| WireFault::Malformed(e.to_string()))?;
-        writeln!(self.writer, "{line}").map_err(|_| WireFault::Disconnected)?;
+            encode_line(&Request::new(id, cmd)).map_err(|e| WireFault::Malformed(e.to_string()))?;
+        self.writer.write_all(&line).map_err(|_| WireFault::Disconnected)?;
         self.writer.flush().map_err(|_| WireFault::Disconnected)?;
         loop {
             let mut reply_line = String::new();

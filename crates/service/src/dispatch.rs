@@ -73,7 +73,8 @@ pub trait Respond: Send + Sync {
     fn send(&self, response: &Response);
 }
 
-/// A [`Respond`] writing newline-delimited JSON to any writer.
+/// A [`Respond`] writing newline-delimited JSON to any writer, one
+/// `write_all` per framed line.
 pub struct WriterResponder {
     writer: Mutex<Box<dyn std::io::Write + Send>>,
 }
@@ -87,11 +88,11 @@ impl WriterResponder {
 
 impl Respond for WriterResponder {
     fn send(&self, response: &Response) {
-        let Ok(line) = crate::protocol::encode(response) else {
+        let Ok(line) = crate::protocol::encode_line(response) else {
             return;
         };
         let mut w = self.writer.lock().expect("responder lock");
-        let _ = writeln!(w, "{line}");
+        let _ = w.write_all(&line);
         let _ = w.flush();
     }
 }
@@ -482,7 +483,12 @@ impl Service {
         let Some(session) = self.registry.get(params.session) else {
             return Some(unknown_session(params.session));
         };
-        let item = QueuedDelta { id, delta: params.delta, responder: Arc::clone(responder) };
+        let item = QueuedDelta {
+            id,
+            delta: params.delta,
+            responder: Arc::clone(responder),
+            enqueued: Instant::now(),
+        };
         match session.try_enqueue(item, self.config.inbox_capacity) {
             Enqueue::Busy { pending } => Some(Reply::Busy(BusyInfo {
                 session: params.session,
@@ -532,6 +538,7 @@ impl std::fmt::Debug for Service {
 fn drain_session(shared: &Shared, session: &Arc<Session>) {
     while let Some(item) = session.pop_or_finish() {
         let t0 = Instant::now();
+        metrics().inbox_wait_seconds.observe_duration(t0.duration_since(item.enqueued));
         let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             session.apply(&item.delta, &shared.method)
         }));
@@ -663,6 +670,7 @@ mod tests {
             o.clone()
         };
 
+        let waits_before = metrics().inbox_wait_seconds.count();
         let enlarged = BoxDomain::from_bounds(&[(-1.0, 1.1), (-1.0, 1.1)]).unwrap();
         let _ = service.handle_request(
             Request::new(
@@ -681,6 +689,9 @@ mod tests {
         assert_eq!(v.seq, 0);
         assert_eq!(v.record.outcome, "proved");
         assert_eq!(v.record.kind, "domain-enlarged");
+        // The registry is process-global and tests run in parallel, so
+        // only a lower bound holds.
+        assert!(metrics().inbox_wait_seconds.count() > waits_before, "the drain observed the wait");
     }
 
     #[test]

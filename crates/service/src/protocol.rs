@@ -367,6 +367,21 @@ pub fn encode<T: Serialize>(msg: &T) -> Result<String, serde_json::Error> {
     serde_json::to_string(msg)
 }
 
+/// Serializes a message to its framed wire form: the one-line JSON plus
+/// the terminating `\n`. This is the only place that knows the framing.
+/// Writers hand the result to a single `write_all`, so a line never
+/// leaves as a JSON segment and a separate newline segment that would
+/// sit behind the peer's delayed ACK.
+///
+/// # Errors
+///
+/// Returns [`serde_json::Error`] if encoding fails.
+pub fn encode_line<T: Serialize>(msg: &T) -> Result<Vec<u8>, serde_json::Error> {
+    let mut line = encode(msg)?.into_bytes();
+    line.push(b'\n');
+    Ok(line)
+}
+
 /// Parses one wire line as a message.
 ///
 /// # Errors

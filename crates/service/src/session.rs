@@ -24,6 +24,7 @@ use covern_core::CoreError;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// One queued delta awaiting its session's drain task.
 pub(crate) struct QueuedDelta {
@@ -33,6 +34,8 @@ pub(crate) struct QueuedDelta {
     pub delta: DeltaEvent,
     /// Where the verdict (or failure) reply goes.
     pub responder: Arc<dyn Respond>,
+    /// When the delta was queued; its drain task observes the wait.
+    pub enqueued: Instant,
 }
 
 /// The bounded inbox; `running` marks an active drain task. Both are

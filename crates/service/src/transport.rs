@@ -139,6 +139,9 @@ fn connection_loop(stream: TcpStream, service: &Arc<Service>, local_addr: Option
     metrics().connections_active.inc();
     obs_info!("connection accepted", conn = conn, peer = peer);
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    // Replies are small and latency-bound: never hold one back waiting
+    // for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         metrics().connections_active.dec();
         obs_info!("connection closed", conn = conn, peer = peer);
